@@ -47,18 +47,39 @@ func TestEnumerateCanceledContext(t *testing.T) {
 	}
 }
 
+// pollCtx is a context whose Err reports context.Canceled from the
+// (n+1)th call on: a cancellation that lands after exactly n polls,
+// however fast or slow the host runs the search.
+type pollCtx struct {
+	context.Context
+	n int
+}
+
+func (c *pollCtx) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 func TestEnumerateDeadline(t *testing.T) {
 	p, g := hardInstance()
 	budget := 50 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), budget)
-	defer cancel()
+	const polls = 50
+	ctx := &pollCtx{Context: context.Background(), n: polls}
 	start := time.Now()
 	res := Count(p, g, Options{Ctx: ctx})
 	elapsed := time.Since(start)
 	if !res.Truncated || res.Reason != StopCanceled {
 		t.Fatalf("deadline search: Truncated=%v Reason=%q steps=%d", res.Truncated, res.Reason, res.Steps)
 	}
-	// The search must stop promptly after the deadline. The polling
+	// The start-of-search poll and the in-search polls up to the cancel
+	// see a live context; the search stops at the first poll that does
+	// not, so it expands exactly polls*DefaultCheckEvery steps.
+	if want := polls * DefaultCheckEvery; res.Steps != want {
+		t.Fatalf("search stopped after %d steps, want %d", res.Steps, want)
+	}
+	// The search must stop promptly after the cancellation. The polling
 	// interval is ~microseconds of work; 10x headroom keeps slow CI green.
 	if elapsed > 10*budget {
 		t.Fatalf("search ran %v past a %v budget", elapsed, budget)
