@@ -29,6 +29,7 @@ func ForEachNCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	}
 	workers = Workers(workers, n)
 	if workers == 1 {
+		defer rethrow()
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -38,11 +39,14 @@ func ForEachNCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 		return ctx.Err()
 	}
 	var next int64
+	var fp firstPanic
+	stop := func() { atomic.StoreInt64(&next, int64(n)) }
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer fp.catch(stop)
 			for ctx.Err() == nil {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= n {
@@ -53,6 +57,7 @@ func ForEachNCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 		}()
 	}
 	wg.Wait()
+	fp.rethrow()
 	return ctx.Err()
 }
 
@@ -68,13 +73,15 @@ func ForEachChunkCtx(ctx context.Context, n, workers int, fn func(lo, hi int)) e
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
+		defer rethrow()
 		fn(0, n)
 		return ctx.Err()
 	}
 	chunk := (n + workers - 1) / workers
+	var fp firstPanic
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		if ctx.Err() != nil {
+		if ctx.Err() != nil || fp.raised() {
 			break
 		}
 		hi := lo + chunk
@@ -84,10 +91,12 @@ func ForEachChunkCtx(ctx context.Context, n, workers int, fn func(lo, hi int)) e
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			defer fp.catch(nil)
 			fn(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
+	fp.rethrow()
 	return ctx.Err()
 }
 
