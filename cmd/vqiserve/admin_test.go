@@ -3,14 +3,18 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/catapult"
 	"repro/internal/datagen"
+	"repro/internal/gindex"
+	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/vqi"
 )
@@ -146,6 +150,153 @@ func TestAdminUpdatePartialCacheInvalidation(t *testing.T) {
 	}
 	if got, want := hits2-hits0, uint64(k-len(rep.Rebuilt)); got != want {
 		t.Fatalf("shard-cache hits after update = %d, want %d", got, want)
+	}
+
+	// A removal renumbers the global positions of every later graph, in
+	// untouched shards too. Their partials still hit, and the merged
+	// answer is still the corpus-order answer of a fresh build.
+	rec, body = post(t, h, "/admin/update", `{"remove":["mol1"]}`)
+	if rec.Code != 200 {
+		t.Fatalf("removal status = %d (body %s)", rec.Code, body)
+	}
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	got := queryMatched(t, h)
+	hits3, miss3, _ := s.shardQC.Stats()
+	if d := miss3 - miss2; d != uint64(len(rep.Rebuilt)) {
+		t.Fatalf("shard-cache misses after removal = %d, want %d (rebuilt %v)", d, len(rep.Rebuilt), rep.Rebuilt)
+	}
+	if d := hits3 - hits2; d != uint64(k-len(rep.Rebuilt)) {
+		t.Fatalf("shard-cache hits after removal = %d, want %d", d, k-len(rep.Rebuilt))
+	}
+	corpus, _ := s.snapshot()
+	q := decodeTestQuery(t, ccQuery)
+	if want := gindex.BuildSharded(corpus, k, 1).Search(q, pattern.MatchOptions()).Matches; !reflect.DeepEqual(got, want) {
+		t.Fatalf("answer after removal:\n got %v\nwant %v", got, want)
+	}
+}
+
+// decodeTestQuery builds the query graph an /api/query body describes.
+func decodeTestQuery(t *testing.T, body string) *graph.Graph {
+	t.Helper()
+	var req queryRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	q := graph.New("query")
+	for _, l := range req.Nodes {
+		q.AddNode(l)
+	}
+	for _, e := range req.Edges {
+		q.MustAddEdge(e.U, e.V, e.Label)
+	}
+	return q
+}
+
+// updateBodyFor renders a batch as an /admin/update body.
+func updateBodyFor(t *testing.T, add []*graph.Graph, remove []string) string {
+	t.Helper()
+	type edge struct {
+		U     int    `json:"u"`
+		V     int    `json:"v"`
+		Label string `json:"label"`
+	}
+	type addGraph struct {
+		Name  string   `json:"name"`
+		Nodes []string `json:"nodes"`
+		Edges []edge   `json:"edges"`
+	}
+	req := struct {
+		Add    []addGraph `json:"add,omitempty"`
+		Remove []string   `json:"remove,omitempty"`
+	}{Remove: remove}
+	for _, g := range add {
+		ag := addGraph{Name: g.Name(), Nodes: []string{}, Edges: []edge{}}
+		for v := 0; v < g.NumNodes(); v++ {
+			ag.Nodes = append(ag.Nodes, g.NodeLabel(v))
+		}
+		for _, e := range g.Edges() {
+			ag.Edges = append(ag.Edges, edge{int(e.U), int(e.V), e.Label})
+		}
+		req.Add = append(req.Add, ag)
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestAdminUpdateRandomBatchesMatchFreshBuild drives random add/remove
+// batch sequences through a server with the response and shard-partial
+// caches on, and checks every answer against a fresh BuildSharded over the
+// same corpus. Cached partials of untouched shards outlive removals that
+// renumber their graphs' global positions; the merged answers must not
+// notice.
+func TestAdminUpdateRandomBatchesMatchFreshBuild(t *testing.T) {
+	const k = 4
+	for _, maxResults := range []int{0, 3} {
+		for _, planOn := range []bool{false, true} {
+			corpus := datagen.ChemicalCorpus(2, 24, datagen.ChemicalOptions{MinNodes: 8, MaxNodes: 14})
+			spec, _, err := vqi.BuildFromCorpus(corpus, catapult.Config{
+				Budget: pattern.Budget{Count: 3, MinSize: 4, MaxSize: 7}, Seed: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newServer(spec, corpus, serverConfig{shards: k, cacheSize: 256, maxResults: maxResults, planEnabled: planOn})
+			s.buildIndex()
+			h := s.routes()
+			rng := rand.New(rand.NewSource(int64(17 + maxResults)))
+			bodies := []string{ccQuery}
+			for len(bodies) < 6 {
+				if q := datagen.RandomConnectedSubgraph(rng, corpus.Graph(rng.Intn(corpus.Len())), 2+rng.Intn(3)); q != nil {
+					bodies = append(bodies, queryBodyFor(q))
+				}
+			}
+			extra := datagen.ChemicalCorpus(9, 40, datagen.ChemicalOptions{MinNodes: 8, MaxNodes: 14})
+			added := 0
+			for step := 0; step < 12; step++ {
+				if step > 0 {
+					cur, _ := s.snapshot()
+					var remove []string
+					for i, n := 0, 1+rng.Intn(2); i < n; i++ {
+						name := cur.Graph(rng.Intn(cur.Len())).Name()
+						if !slices.Contains(remove, name) {
+							remove = append(remove, name)
+						}
+					}
+					var add []*graph.Graph
+					for i, n := 0, rng.Intn(3); i < n; i++ {
+						g := extra.Graph(added % extra.Len()).Clone()
+						g.SetName(fmt.Sprintf("batch-%d", added))
+						add = append(add, g)
+						added++
+					}
+					if rec, body := post(t, h, "/admin/update", updateBodyFor(t, add, remove)); rec.Code != 200 {
+						t.Fatalf("step %d: update status = %d (body %s)", step, rec.Code, body)
+					}
+				}
+				cur, _ := s.snapshot()
+				fresh := gindex.BuildSharded(cur, k, 1)
+				opts := pattern.MatchOptions()
+				opts.MaxResults = maxResults
+				for qi, body := range bodies {
+					rec, out := post(t, h, "/api/query", body)
+					if rec.Code != 200 {
+						t.Fatalf("step %d q%d: status = %d (body %s)", step, qi, rec.Code, out)
+					}
+					var resp queryResponse
+					if err := json.Unmarshal(out, &resp); err != nil {
+						t.Fatal(err)
+					}
+					want := fresh.Search(decodeTestQuery(t, body), opts).Matches
+					if !reflect.DeepEqual(resp.Matched, want) {
+						t.Fatalf("max=%d plan=%v step %d q%d:\n got %v\nwant %v", maxResults, planOn, step, qi, resp.Matched, want)
+					}
+				}
+			}
+		}
 	}
 }
 

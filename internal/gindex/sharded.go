@@ -378,18 +378,24 @@ func (sh *Sharded) ApplyBatch(added []*graph.Graph, removedNames []string) (*Sha
 	return next, rep, nil
 }
 
-// ShardMatch is one matching graph from a shard-local search, carrying its
-// global corpus position so partials from different shards merge into
-// corpus order.
+// ShardMatch is one matching graph from a shard-local search. Local is
+// its index within the shard, which stays valid as long as the shard's
+// epoch does. Pos is its global corpus position in the generation that ran
+// the search, so partials from different shards merge into corpus order.
+// A removal in another shard renumbers global positions without bumping
+// this shard's epoch, so a partial kept across generations must pass
+// through Rebase before it is merged.
 type ShardMatch struct {
-	Pos  int
-	Name string
+	Pos   int
+	Local int
+	Name  string
 }
 
 // ShardResult is the outcome of filter-verify restricted to one shard. A
-// complete (non-Truncated) ShardResult depends only on the shard's
-// contents and the query, which is what makes it cacheable under a
-// (query, shard, epoch) key.
+// complete (non-Truncated) ShardResult's matches, by local index, depend
+// only on the shard's contents and the query, which is what makes it
+// cacheable under a (query, shard, epoch) key; its global positions are
+// re-derived by Rebase.
 type ShardResult struct {
 	Shard      int
 	Epoch      uint64
@@ -450,7 +456,7 @@ func (sh *Sharded) searchShard(ctx context.Context, s int, q *graph.Graph, opts 
 		r := isomorph.Count(q, g, opts)
 		res.Verified++
 		if r.Embeddings > 0 {
-			res.Matches = append(res.Matches, ShardMatch{Pos: gp, Name: g.Name()})
+			res.Matches = append(res.Matches, ShardMatch{Pos: gp, Local: li, Name: g.Name()})
 			if b != nil {
 				b.admit(gp)
 			}
@@ -462,6 +468,30 @@ func (sh *Sharded) searchShard(ctx context.Context, s int, q *graph.Graph, opts 
 		}
 	}
 	return res
+}
+
+// Rebase returns partial r with every match's Pos re-derived from its
+// local index through this generation's global positions. r must come
+// from a search of shard r.Shard at the shard's current epoch, run by this
+// generation or an earlier one (as a partial cache keyed by shard epoch
+// returns it): the shard's contents, and so its local indexes, are then
+// unchanged. r itself is never modified; when a position moved, the
+// matches are copied.
+func (sh *Sharded) Rebase(r ShardResult) ShardResult {
+	globals := sh.globals[r.Shard]
+	for i, m := range r.Matches {
+		if globals[m.Local] == m.Pos {
+			continue
+		}
+		ms := make([]ShardMatch, len(r.Matches))
+		copy(ms, r.Matches)
+		for j := i; j < len(ms); j++ {
+			ms[j].Pos = globals[ms[j].Local]
+		}
+		r.Matches = ms
+		break
+	}
+	return r
 }
 
 // MergeShardResults merges per-shard partials into one Result in global

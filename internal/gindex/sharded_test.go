@@ -236,6 +236,44 @@ func TestShardPartialsMergeToGlobalAnswer(t *testing.T) {
 	}
 }
 
+// TestRebaseAfterRemovalElsewhere: a partial computed before a removal in
+// another shard, rebased onto the next generation, equals the partial that
+// generation computes itself, and the original is left untouched.
+func TestRebaseAfterRemovalElsewhere(t *testing.T) {
+	c := datagen.ChemicalCorpus(5, 50, datagen.ChemicalOptions{MinNodes: 8, MaxNodes: 16})
+	const k = 4
+	sh := BuildSharded(c, k, 1)
+	removed := c.Graph(0).Name()
+	next, rep, err := sh.ApplyBatch(nil, []string{removed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	moved := 0
+	for _, q := range randomQueries(rand.New(rand.NewSource(5)), c, 6) {
+		for s := 0; s < k; s++ {
+			if s == rep.Rebuilt[0] {
+				continue
+			}
+			old := sh.SearchShardCtx(ctx, s, q, pattern.MatchOptions())
+			before := append([]ShardMatch(nil), old.Matches...)
+			got := next.Rebase(old)
+			if want := next.SearchShardCtx(ctx, s, q, pattern.MatchOptions()); !reflect.DeepEqual(got.Matches, want.Matches) {
+				t.Fatalf("shard %d: rebased %v, fresh %v", s, got.Matches, want.Matches)
+			}
+			if !reflect.DeepEqual(old.Matches, before) {
+				t.Fatalf("shard %d: Rebase modified its argument", s)
+			}
+			if len(old.Matches) > 0 && old.Matches[0].Pos != got.Matches[0].Pos {
+				moved++
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no partial changed position; removing the first graph should renumber every shard")
+	}
+}
+
 func TestShardedSearchCtxCanceledTruncates(t *testing.T) {
 	c := datagen.ChemicalCorpus(9, 40, datagen.ChemicalOptions{MinNodes: 10, MaxNodes: 18})
 	sh := BuildSharded(c, 4, 2)
