@@ -8,7 +8,7 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8",
-		"E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "T1", "P1", "P2", "R1", "K1", "S1", "O1", "A1", "D1", "M1"}
+		"E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "T1", "P1", "R1", "K1", "S1", "O1", "A1", "D1", "M1"}
 	have := map[string]bool{}
 	for _, e := range experiments {
 		if have[e.id] {

@@ -111,9 +111,6 @@ func (s *server) refreshCacheMetrics() {
 	if s.planQC != nil {
 		s.exportCache("vqiserve_plancache", s.planQC.Metrics())
 	}
-	if s.viewQC != nil {
-		s.exportCache("vqiserve_viewcache", s.viewQC.Metrics())
-	}
 }
 
 func (s *server) exportCache(prefix string, m qcache.Metrics) {

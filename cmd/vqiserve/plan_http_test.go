@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 )
 
 // planTestServer builds a planner-enabled server over a corpus large
-// enough that double-digit-edge queries decompose and still match.
+// enough that double-digit-edge queries still match.
 func planTestServer(t *testing.T) *server {
 	t.Helper()
 	corpus := datagen.ChemicalCorpus(5, 40, datagen.ChemicalOptions{MinNodes: 12, MaxNodes: 24})
@@ -86,18 +87,21 @@ func postPlanQuery(t *testing.T, h http.Handler, url, body string) (*httptest.Re
 	return rec, resp
 }
 
-// TestHandleQueryPlanParamValidation: unknown ?plan= values are a 400
-// envelope; an empty value means auto.
+// TestHandleQueryPlanParamValidation: unknown ?plan= values, including
+// the removed forced strategies, are a 400 envelope; an empty value means
+// auto.
 func TestHandleQueryPlanParamValidation(t *testing.T) {
 	s := planTestServer(t)
 	h := s.routes()
 	body := `{"nodes":["C","C"],"edges":[{"u":0,"v":1,"label":"s"}]}`
-	rec, _ := postPlanQuery(t, h, "/api/query?plan=fastest", body)
-	if rec.Code != 400 {
-		t.Fatalf("status = %d (body %s)", rec.Code, rec.Body)
-	}
-	if e := decodeErr(t, rec.Body.Bytes()); e.Code != "bad_plan" {
-		t.Fatalf("code = %q", e.Code)
+	for _, mode := range []string{"fastest", "monolithic", "decompose", "ann"} {
+		rec, _ := postPlanQuery(t, h, "/api/query?plan="+mode, body)
+		if rec.Code != 400 {
+			t.Fatalf("%s: status = %d (body %s)", mode, rec.Code, rec.Body)
+		}
+		if e := decodeErr(t, rec.Body.Bytes()); e.Code != "bad_plan" {
+			t.Fatalf("%s: code = %q", mode, e.Code)
+		}
 	}
 	if rec, _ := postPlanQuery(t, h, "/api/query?plan=", body); rec.Code != 200 {
 		t.Fatalf("empty plan value: status = %d (body %s)", rec.Code, rec.Body)
@@ -118,7 +122,7 @@ func TestHandleQueryPlanModesAgree(t *testing.T) {
 		if rec.Code != 200 {
 			t.Fatalf("baseline status = %d (body %s)", rec.Code, rec.Body)
 		}
-		for _, mode := range []string{"auto", "monolithic", "decompose", "ann"} {
+		for _, mode := range []string{"auto", "off"} {
 			rec, got := postPlanQuery(t, h, "/api/query?plan="+mode, body)
 			if rec.Code != 200 {
 				t.Fatalf("%s: status = %d (body %s)", mode, rec.Code, rec.Body)
@@ -133,30 +137,24 @@ func TestHandleQueryPlanModesAgree(t *testing.T) {
 	}
 }
 
-// TestHandleQueryPlanTrace: an explicit ?plan=decompose request on a
-// large query reports the decomposed strategy and the plan stage spans.
+// TestHandleQueryPlanTrace: an explicit ?plan=auto request on a large
+// query reports the monolithic strategy and the plan.compile stage span.
 func TestHandleQueryPlanTrace(t *testing.T) {
 	s := planTestServer(t)
 	h := s.routes()
 	body := bigQueryBody(t, s, 10)
-	rec, resp := postPlanQuery(t, h, "/api/query?plan=decompose", body)
+	rec, resp := postPlanQuery(t, h, "/api/query?plan=auto", body)
 	if rec.Code != 200 {
 		t.Fatalf("status = %d (body %s)", rec.Code, rec.Body)
 	}
-	if resp.Plan == nil || resp.Plan.Strategy != "decomposed" {
-		t.Fatalf("plan = %+v; want forced decomposed strategy", resp.Plan)
+	if resp.Plan == nil || resp.Plan.Strategy != "monolithic" {
+		t.Fatalf("plan = %+v; want the monolithic strategy", resp.Plan)
 	}
 	if resp.Plan.Summary == "" {
 		t.Fatal("plan summary empty")
 	}
-	stages := map[string]bool{}
-	for _, st := range resp.Stages {
-		stages[st.Name] = true
-	}
-	for _, want := range []string{"plan.compile", "plan.fragment-probe", "plan.join", "plan.verify"} {
-		if !stages[want] {
-			t.Fatalf("stage %q missing from %v", want, resp.Stages)
-		}
+	if !slices.ContainsFunc(resp.Stages, func(st stageEntry) bool { return st.Name == "plan.compile" }) {
+		t.Fatalf("stage plan.compile missing from %v", resp.Stages)
 	}
 	// No ?plan= parameter: the response stays free of plan/stage fields.
 	rec2, resp2 := postPlanQuery(t, h, "/api/query", body)
@@ -194,12 +192,13 @@ func TestHandleQueryPlanCachedStillTraced(t *testing.T) {
 	}
 }
 
-// TestPlanCacheMetricsExported: the plan and view cache gauges appear at
-// the metrics boundary (sanitized like every other cache family).
+// TestPlanCacheMetricsExported: the plan cache gauges appear at the
+// metrics boundary (sanitized like every other cache family), and the
+// removed fragment-view cache exports nothing.
 func TestPlanCacheMetricsExported(t *testing.T) {
 	s := planTestServer(t)
 	h := s.routes()
-	postPlanQuery(t, h, "/api/query?plan=decompose", bigQueryBody(t, s, 10))
+	postPlanQuery(t, h, "/api/query?plan=auto", bigQueryBody(t, s, 10))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
 	if rec.Code != 200 {
@@ -211,10 +210,14 @@ func TestPlanCacheMetricsExported(t *testing.T) {
 	}
 	for _, key := range []string{
 		"vqiserve_plancache_hits", "vqiserve_plancache_misses", "vqiserve_plancache_hit_ratio",
-		"vqiserve_viewcache_hits", "vqiserve_viewcache_misses", "vqiserve_viewcache_hit_ratio",
 	} {
 		if _, ok := vars[key]; !ok {
 			t.Fatalf("gauge %q missing from /debug/vars", key)
+		}
+	}
+	for key := range vars {
+		if strings.HasPrefix(key, "vqiserve_viewcache") {
+			t.Fatalf("removed view cache still exports %q", key)
 		}
 	}
 	if misses := string(vars["vqiserve_plancache_misses"]); misses == "0" {

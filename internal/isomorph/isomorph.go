@@ -368,47 +368,6 @@ func (m *matcher) adoptOrder(ord []graph.NodeID) bool {
 	return true
 }
 
-// VerifyMapping reports whether mapping (pattern node -> target node,
-// len == pattern.NumNodes()) is an embedding of pattern in target: node
-// labels compatible, mapping injective, every pattern edge present in the
-// target with a compatible label, and — under induced semantics — no
-// target adjacency between images of non-adjacent pattern nodes. This is
-// the exact final check a query plan runs on a match stitched together
-// from sub-pattern embeddings; anything that passes here is as good as a
-// from-scratch VF2 hit.
-func VerifyMapping(pattern, target *graph.Graph, mapping []graph.NodeID, induced bool) bool {
-	n := pattern.NumNodes()
-	if len(mapping) != n {
-		return false
-	}
-	used := make(map[graph.NodeID]bool, n)
-	for pv, tv := range mapping {
-		if tv < 0 || tv >= target.NumNodes() || used[tv] {
-			return false
-		}
-		used[tv] = true
-		if !labelMatch(pattern.NodeLabel(pv), target.NodeLabel(tv)) {
-			return false
-		}
-	}
-	for _, pe := range pattern.Edges() {
-		te, ok := target.EdgeBetween(mapping[pe.U], mapping[pe.V])
-		if !ok || !labelMatch(pe.Label, target.EdgeLabel(te)) {
-			return false
-		}
-	}
-	if induced {
-		for pu := 0; pu < n; pu++ {
-			for pv := pu + 1; pv < n; pv++ {
-				if !pattern.HasEdge(pu, pv) && target.HasEdge(mapping[pu], mapping[pv]) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 func containsNode(s []graph.NodeID, v graph.NodeID) bool {
 	for _, x := range s {
 		if x == v {

@@ -124,29 +124,70 @@ func TestOptionsOrderInvalidIgnored(t *testing.T) {
 	}
 }
 
-// TestVerifyMapping: accepts exactly the mappings Enumerate reports and
-// rejects corrupted ones.
+// verifyMapping is the brute-force embedding check the tests hold
+// Enumerate to: mapping (pattern node -> target node) is injective, keeps
+// node and edge labels compatible and every pattern edge present, and —
+// under induced semantics — maps no two non-adjacent pattern nodes onto
+// adjacent target nodes.
+func verifyMapping(pattern, target *graph.Graph, mapping []graph.NodeID, induced bool) bool {
+	n := pattern.NumNodes()
+	if len(mapping) != n {
+		return false
+	}
+	used := make(map[graph.NodeID]bool, n)
+	for pv, tv := range mapping {
+		if tv < 0 || tv >= target.NumNodes() || used[tv] {
+			return false
+		}
+		used[tv] = true
+		if !labelMatch(pattern.NodeLabel(pv), target.NodeLabel(tv)) {
+			return false
+		}
+	}
+	for _, pe := range pattern.Edges() {
+		te, ok := target.EdgeBetween(mapping[pe.U], mapping[pe.V])
+		if !ok || !labelMatch(pe.Label, target.EdgeLabel(te)) {
+			return false
+		}
+	}
+	if induced {
+		for pu := 0; pu < n; pu++ {
+			for pv := pu + 1; pv < n; pv++ {
+				if !pattern.HasEdge(pu, pv) && target.HasEdge(mapping[pu], mapping[pv]) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestVerifyMapping: every mapping Enumerate reports, monomorphism and
+// induced, passes the brute-force check, and the check rejects corrupted
+// mappings and a chord under induced semantics.
 func TestVerifyMapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	verified := 0
 	for trial := 0; trial < 40; trial++ {
 		target := randomGraph(rng, 10, 16)
 		pattern := randomGraph(rng, 3, 3)
-		Enumerate(pattern, target, Options{MaxEmbeddings: 8}, func(m []graph.NodeID) bool {
-			verified++
-			if !VerifyMapping(pattern, target, m, false) {
-				t.Fatalf("trial %d: VerifyMapping rejected a real embedding %v", trial, m)
-			}
-			// Corrupt it: duplicate a target node (breaks injectivity).
-			bad := append([]graph.NodeID(nil), m...)
-			if len(bad) >= 2 {
-				bad[0] = bad[1]
-				if VerifyMapping(pattern, target, bad, false) {
-					t.Fatalf("trial %d: VerifyMapping accepted non-injective %v", trial, bad)
+		for _, induced := range []bool{false, true} {
+			Enumerate(pattern, target, Options{MaxEmbeddings: 8, Induced: induced}, func(m []graph.NodeID) bool {
+				verified++
+				if !verifyMapping(pattern, target, m, induced) {
+					t.Fatalf("trial %d induced=%v: Enumerate reported a non-embedding %v", trial, induced, m)
 				}
-			}
-			return true
-		})
+				// Corrupt it: duplicate a target node (breaks injectivity).
+				bad := append([]graph.NodeID(nil), m...)
+				if len(bad) >= 2 {
+					bad[0] = bad[1]
+					if verifyMapping(pattern, target, bad, induced) {
+						t.Fatalf("trial %d: verifyMapping accepted non-injective %v", trial, bad)
+					}
+				}
+				return true
+			})
+		}
 	}
 	if verified == 0 {
 		t.Fatal("no embeddings found across trials; generator too sparse")
@@ -166,11 +207,14 @@ func TestVerifyMapping(t *testing.T) {
 	tg.AddEdge(1, 2, "s")
 	tg.AddEdge(0, 2, "s")
 	m := []graph.NodeID{0, 1, 2}
-	if !VerifyMapping(p, tg, m, false) {
+	if !verifyMapping(p, tg, m, false) {
 		t.Fatal("monomorphism mapping rejected")
 	}
-	if VerifyMapping(p, tg, m, true) {
+	if verifyMapping(p, tg, m, true) {
 		t.Fatal("induced mapping with a chord accepted")
+	}
+	if Count(p, tg, Options{Induced: true}).Embeddings != 0 {
+		t.Fatal("Enumerate found an induced path in a triangle")
 	}
 }
 

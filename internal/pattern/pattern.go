@@ -131,19 +131,13 @@ func MatchOptions() isomorph.Options {
 	return isomorph.Options{MaxEmbeddings: 64, MaxSteps: 200000}
 }
 
-// PlanConfig returns the plan-compiler configuration matched to this
-// package's pattern model and MatchOptions budgets: queries up to
-// double the basic-pattern size stay monolithic (fragment overhead always
-// loses on shapes a user assembles in a couple of gestures), larger
-// canned-pattern-sized queries become decomposition candidates, and the
-// stitch buffer is sized against the embedding budget. Deployment
-// capabilities (ANN state, result budget, view cache) are the caller's to
-// fill in.
+// PlanConfig returns the zero plan.Config.
+//
+// Deprecated: no configuration changes a compiled plan any more (see
+// plan.Config). PlanConfig remains because callers outside this module
+// still call it.
 func PlanConfig() plan.Config {
-	return plan.Config{
-		MinDecomposeEdges: 2*BasicMaxSize + 2,
-		JoinBuffer:        4 * MatchOptions().MaxEmbeddings,
-	}
+	return plan.Config{}
 }
 
 // ---------------------------------------------------------------------------

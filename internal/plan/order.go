@@ -18,12 +18,7 @@ package plan
 // the tightest available document frequency given which of its three
 // labels are wildcards. Wildcards contribute no constraint.
 func edgeRarity(a *AST, st Stats, e ASTEdge) int {
-	return rarityOf(st, a.Nodes[e.U].Label, e.Label, a.Nodes[e.V].Label)
-}
-
-// rarityOf is edgeRarity on raw labels (la, le, lb) = (endpoint, edge,
-// endpoint).
-func rarityOf(st Stats, la, le, lb string) int {
+	la, le, lb := a.Nodes[e.U].Label, e.Label, a.Nodes[e.V].Label
 	r := st.Graphs()
 	min := func(v int) {
 		if v < r {
@@ -62,13 +57,13 @@ func nodeRarity(a *AST, st Stats, v int) int {
 // indexes). Two distinct edges never compare equal — the final component
 // is the unique (min,max) endpoint pair plus the edge's slot.
 type edgeKey struct {
-	rarity     int
-	labelID    int
-	loLabel    int
-	hiLabel    int
-	loNode     int
-	hiNode     int
-	index      int
+	rarity  int
+	labelID int
+	loLabel int
+	hiLabel int
+	loNode  int
+	hiNode  int
+	index   int
 }
 
 func (a *AST) keyOf(st Stats, ei int) edgeKey {
