@@ -22,6 +22,9 @@ echo "== fault-injection smoke (-race) =="
 go test -race -count=1 -run 'Fault|Panic|Timeout|Drain|Inject|Ctx|Context|Cancel|Deadline' \
   ./internal/faultinject ./internal/isomorph ./internal/par ./internal/gindex ./cmd/vqiserve
 
+echo "== vqibench (separate module, built against this tree) =="
+(cd vqibench && go vet ./... && go test ./...)
+
 echo "== fuzz-seed regression (checked-in corpora) =="
 go test -count=1 -run 'Fuzz' ./internal/gio ./cmd/vqiserve
 
@@ -38,11 +41,6 @@ echo "== benchmark smoke (A1 approximate-similarity suite) =="
 go run ./cmd/benchvqi -exp A1
 grep -q '"rebuild_only_touched": true' BENCH_ann.json \
   || { echo "A1: batch update rebuilt more than the touched shards"; exit 1; }
-
-echo "== benchmark smoke (P2 query-plan suite, plan-vs-oracle equivalence) =="
-go run ./cmd/benchvqi -exp P2
-grep -q '"contract_violations": 0' BENCH_plan.json \
-  || { echo "P2: a planned answer differed from the monolithic oracle"; exit 1; }
 
 echo "== metrics endpoint smoke (vqiserve -pprof, live scrape) =="
 tmpdir="$(mktemp -d)"
@@ -92,18 +90,19 @@ code="$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/api/similar" -d '{"
   || { echo "/api/similar bad mode: got $code, want 400"; exit 1; }
 echo "similarity endpoint: OK"
 
-echo "== query planner smoke (live /api/query?plan=decompose trace) =="
-# A 9-ring with a chord: 10 edges, comfortably past the decomposition
-# threshold, so the forced-decompose plan must report its strategy and the
-# trace must show the fragment-probe/join/verify stages.
-plan_resp="$(curl -fsS "http://$addr/api/query?plan=decompose" \
-  -d '{"nodes":["C","C","C","C","C","C","C","C","C"],"edges":[{"u":0,"v":1,"label":"s"},{"u":1,"v":2,"label":"s"},{"u":2,"v":3,"label":"s"},{"u":3,"v":4,"label":"s"},{"u":4,"v":5,"label":"s"},{"u":5,"v":6,"label":"s"},{"u":6,"v":7,"label":"s"},{"u":7,"v":8,"label":"s"},{"u":8,"v":0,"label":"s"},{"u":0,"v":4,"label":"s"}]}')"
-grep -q '"strategy":"decomposed"' <<<"$plan_resp" \
-  || { echo "?plan=decompose did not report a decomposed strategy: $plan_resp"; exit 1; }
-grep -q '"plan.fragment-probe"' <<<"$plan_resp" \
-  || { echo "?plan=decompose trace missing the fragment-probe stage: $plan_resp"; exit 1; }
-grep -q '"plan.verify"' <<<"$plan_resp" \
-  || { echo "?plan=decompose trace missing the verify stage: $plan_resp"; exit 1; }
+echo "== query planner smoke (live /api/query?plan= trace and validation) =="
+# A 9-ring with a chord: ?plan=auto must report the one remaining
+# strategy and a plan.compile stage; the removed forced strategies are
+# unknown modes now.
+ring='{"nodes":["C","C","C","C","C","C","C","C","C"],"edges":[{"u":0,"v":1,"label":"s"},{"u":1,"v":2,"label":"s"},{"u":2,"v":3,"label":"s"},{"u":3,"v":4,"label":"s"},{"u":4,"v":5,"label":"s"},{"u":5,"v":6,"label":"s"},{"u":6,"v":7,"label":"s"},{"u":7,"v":8,"label":"s"},{"u":8,"v":0,"label":"s"},{"u":0,"v":4,"label":"s"}]}'
+plan_resp="$(curl -fsS "http://$addr/api/query?plan=auto" -d "$ring")"
+grep -q '"strategy":"monolithic"' <<<"$plan_resp" \
+  || { echo "?plan=auto did not report the monolithic strategy: $plan_resp"; exit 1; }
+grep -q '"plan.compile"' <<<"$plan_resp" \
+  || { echo "?plan=auto trace missing the plan.compile stage: $plan_resp"; exit 1; }
+code="$(curl -s -o "$tmpdir/badplan.json" -w '%{http_code}' "http://$addr/api/query?plan=decompose" -d "$ring")"
+[[ "$code" == 400 ]] && grep -q '"bad_plan"' "$tmpdir/badplan.json" \
+  || { echo "?plan=decompose: got $code $(cat "$tmpdir/badplan.json"), want 400 bad_plan"; exit 1; }
 kill "$server_pid" && wait "$server_pid" 2>/dev/null || true
 server_pid=""
 echo "query planner: OK"
