@@ -18,11 +18,6 @@ type AST struct {
 	Edges []ASTEdge
 	// Labels is the intern table: sorted distinct labels.
 	Labels []string
-	// Connected reports whether the pattern is connected (ignoring the
-	// degenerate empty pattern, which counts as connected).
-	Connected bool
-
-	adj [][]int // node -> indexes into Edges
 }
 
 // ASTNode is one pattern node.
@@ -44,7 +39,6 @@ func Parse(q *graph.Graph) *AST {
 	a := &AST{
 		Nodes: make([]ASTNode, n),
 		Edges: make([]ASTEdge, 0, q.NumEdges()),
-		adj:   make([][]int, n),
 	}
 	seen := make(map[string]bool)
 	for v := 0; v < n; v++ {
@@ -56,10 +50,7 @@ func Parse(q *graph.Graph) *AST {
 		}
 	}
 	for _, e := range q.Edges() {
-		ei := len(a.Edges)
 		a.Edges = append(a.Edges, ASTEdge{U: int(e.U), V: int(e.V), Label: e.Label})
-		a.adj[e.U] = append(a.adj[e.U], ei)
-		a.adj[e.V] = append(a.adj[e.V], ei)
 		if !seen[e.Label] {
 			seen[e.Label] = true
 			a.Labels = append(a.Labels, e.Label)
@@ -76,7 +67,6 @@ func Parse(q *graph.Graph) *AST {
 	for ei := range a.Edges {
 		a.Edges[ei].LabelID = id[a.Edges[ei].Label]
 	}
-	a.Connected = a.connected()
 	return a
 }
 
@@ -88,38 +78,6 @@ func (a *AST) LabelID(l string) int {
 		return i
 	}
 	return -1
-}
-
-// other returns the endpoint of edge ei that is not v.
-func (a *AST) other(ei, v int) int {
-	e := a.Edges[ei]
-	if e.U == v {
-		return e.V
-	}
-	return e.U
-}
-
-func (a *AST) connected() bool {
-	n := len(a.Nodes)
-	if n == 0 {
-		return true
-	}
-	seen := make([]bool, n)
-	queue := []int{0}
-	seen[0] = true
-	visited := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, ei := range a.adj[v] {
-			if w := a.other(ei, v); !seen[w] {
-				seen[w] = true
-				visited++
-				queue = append(queue, w)
-			}
-		}
-	}
-	return visited == n
 }
 
 // wildcard reports whether l is the match-anything label.
